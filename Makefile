@@ -75,12 +75,14 @@ race-transport:
 ## race-streamfeatures: the unified fast path under the race detector —
 ## streamed-vs-buffered byte parity across WSSE × differential cache ×
 ## entry interceptors, the concurrent WSSE verification goroutine, the
-## sharded LRU, and the tamper-rejection property. Extra runs because the
+## sharded LRU, the tamper-rejection property, and the WSSE replay set
+## under concurrent presentation of one token. Extra runs because the
 ## verify goroutine races entry dispatch by design.
 race-streamfeatures:
 	$(GO) test -race -count=2 \
 		-run='TestUnifiedFastPathParity|TestStreamedWSSERejectsTamper|TestStreamResponseParity|TestDifferentialDeserialization|TestDiffCacheLRU|TestStreamPathActive' \
 		./internal/core
+	$(GO) test -race -count=2 -run='TestConcurrentReplayExecutesOnce' ./internal/wsse
 
 ## bench: the paper's experiments as testing.B benchmarks.
 bench:
@@ -101,7 +103,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDiffSubtree$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultRoundTrip$$' -fuzztime=10s ./internal/fault
 
-## bench-check: snapshot the key benchmarks to BENCH_pr9.json (perf guard).
+## bench-check: snapshot the key benchmarks to BENCH_pr12.json (perf guard).
 bench-check:
 	$(GO) run ./cmd/benchcheck
 
@@ -112,7 +114,7 @@ bench-check:
 ## step-function regressions.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json -tolerance 35
+		-baseline BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json,BENCH_pr12.json -tolerance 35
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchcheck                 # writes BENCH_pr9.json
+//	benchcheck                 # writes BENCH_pr12.json
 //	benchcheck -out FILE.json  # custom path
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
 //	benchcheck -baseline BENCH_pr3.json,BENCH_pr2.json -tolerance 10
@@ -38,6 +38,7 @@ import (
 	"repro/internal/soap"
 	"repro/internal/soapenc"
 	"repro/internal/trace"
+	"repro/internal/wsse"
 	"repro/internal/xmldom"
 	"repro/internal/xmltext"
 )
@@ -79,7 +80,7 @@ func measure(name string, fn func(b *testing.B)) Result {
 
 func main() {
 	testing.Init() // registers test.benchtime before we touch it
-	out := flag.String("out", "BENCH_pr9.json", "output JSON path")
+	out := flag.String("out", "BENCH_pr12.json", "output JSON path")
 	benchtime := flag.Duration("benchtime", time.Second, "minimum run time per benchmark")
 	baseline := flag.String("baseline", "", "comma-separated baseline chain to compare against, first file wins per benchmark (empty disables)")
 	tolerance := flag.Float64("tolerance", 10, "allowed regression percent vs the baseline")
@@ -188,6 +189,53 @@ func main() {
 			tr.Record(span)
 		}
 	}))
+
+	// --- WS-Security verification -------------------------------------
+	// One fresh token verified against a verifier already holding 100k
+	// nonces. The replay check must cost the same whatever it remembers,
+	// so this row tracks the per-message verify cost, not the set's size.
+	{
+		body := []byte(`<m:echo xmlns:m="urn:spi:Echo"><data>payload</data></m:echo>`)
+		secret := []byte("bench-secret")
+		signer := &wsse.Signer{Username: "alice", Secret: secret}
+		verifier := &wsse.Verifier{Secrets: map[string][]byte{"alice": secret}}
+		// Tokens are signed in chunks so that signed blocks never pile up
+		// in memory; each block can be verified only once.
+		const chunk = 1024
+		sign := func(n int) []*xmldom.Element {
+			blocks := make([]*xmldom.Element, n)
+			for i := range blocks {
+				hdr, err := signer.MakeHeaders(body)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
+					os.Exit(1)
+				}
+				blocks[i] = hdr[0]
+			}
+			return blocks
+		}
+		for done := 0; done < 100_000; done += chunk {
+			for _, block := range sign(chunk) {
+				if err := verifier.ProcessHeader(block, body); err != nil {
+					fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
+					os.Exit(1)
+				}
+			}
+		}
+		add(measure("wsse/verify-100k-remembered", func(b *testing.B) {
+			b.ReportAllocs()
+			for done := 0; done < b.N; done += chunk {
+				b.StopTimer()
+				blocks := sign(min(chunk, b.N-done))
+				b.StartTimer()
+				for _, block := range blocks {
+					if err := verifier.ProcessHeader(block, body); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}))
+	}
 
 	// --- end-to-end hot paths -----------------------------------------
 	arg := soapenc.F("data", strings.Repeat("a", 10))

@@ -119,14 +119,16 @@ func bodyMAC(nonce []byte, created string, secret, body []byte) string {
 type Verifier struct {
 	// Secrets maps usernames to shared keys.
 	Secrets map[string][]byte
-	// MaxAge rejects tokens older than this (default 5 minutes).
+	// MaxAge bounds clock skew both ways: a token is accepted while its
+	// Created lies within MaxAge of the verification time, before or after
+	// it (default 5 minutes). Its nonce is remembered until Created+MaxAge,
+	// the last moment the token itself could be accepted.
 	MaxAge time.Duration
 	// Now supplies the verification time (defaults to time.Now).
 	Now Clock
 
-	// seen remembers recent nonces for replay rejection.
-	mu   sync.Mutex
-	seen map[string]time.Time
+	mu     sync.Mutex
+	replay replaySet
 }
 
 // HeaderName identifies the blocks this processor consumes.
@@ -154,9 +156,9 @@ func (v *Verifier) ProcessHeader(block *xmldom.Element, body []byte) error {
 		return errors.New("wsse: malformed nonce")
 	}
 
-	now := time.Now
+	now := time.Now()
 	if v.Now != nil {
-		now = v.Now
+		now = v.Now()
 	}
 	maxAge := v.MaxAge
 	if maxAge <= 0 {
@@ -166,7 +168,7 @@ func (v *Verifier) ProcessHeader(block *xmldom.Element, body []byte) error {
 	if err != nil {
 		return errors.New("wsse: malformed Created timestamp")
 	}
-	age := now().Sub(ts)
+	age := now.Sub(ts)
 	if age > maxAge || age < -maxAge {
 		return errors.New("wsse: token expired")
 	}
@@ -187,24 +189,102 @@ func (v *Verifier) ProcessHeader(block *xmldom.Element, body []byte) error {
 		return errors.New("wsse: body signature mismatch")
 	}
 
-	// Replay protection: a (user, nonce) pair may be used once per window.
+	// Replay protection: a (user, nonce) pair is accepted once for as long
+	// as its token could be accepted at all.
+	key := nonceKey(username, nonce)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.seen == nil {
-		v.seen = make(map[string]time.Time)
+	return v.replay.admit(key, ts.Add(maxAge).UnixNano(), now.UnixNano(),
+		max(int64(maxAge/bucketsPerMaxAge), 1))
+}
+
+// nonceKey digests a (user, nonce) pair into a fixed-size key that holds
+// no reference to request memory. XML text cannot carry NUL, so the
+// separator keeps distinct pairs apart.
+func nonceKey(username string, nonce []byte) [sha256.Size]byte {
+	var scratch [128]byte
+	b := append(scratch[:0], username...)
+	b = append(b, 0)
+	b = append(b, nonce...)
+	return sha256.Sum256(b)
+}
+
+// bucketsPerMaxAge sets the replay buckets' width to MaxAge/4. A token's
+// expiry lies within 2×MaxAge of the verification time, so about nine
+// buckets are live at once, and a nonce outlives its token by less than
+// one width.
+const bucketsPerMaxAge = 4
+
+// replaySet remembers accepted nonces until their tokens expire. Nonces
+// are grouped into buckets by expiry, so forgetting drops a whole bucket
+// and checking probes each live bucket once: the cost of a message does
+// not grow with the number of nonces remembered.
+type replaySet struct {
+	buckets []nonceBucket
+	// horizon is the end of the latest bucket dropped, in Unix
+	// nanoseconds. A token expiring before it is refused outright, so a
+	// wall clock stepped back after a drop cannot reopen the window of a
+	// forgotten nonce.
+	horizon int64
+}
+
+// nonceBucket holds the nonces whose tokens expire in [end-width, end).
+type nonceBucket struct {
+	end  int64 // Unix nanoseconds
+	keys map[[sha256.Size]byte]struct{}
+}
+
+// admit records key for a token expiring at exp, or reports why it may
+// not be used now. All times are Unix nanoseconds; width is the bucket
+// width.
+func (r *replaySet) admit(key [sha256.Size]byte, exp, now, width int64) error {
+	r.forget(now)
+	if exp < r.horizon {
+		return errors.New("wsse: token expired")
 	}
-	key := username + "|" + nonceB64
-	cutoff := now().Add(-maxAge)
-	for k, t := range v.seen {
-		if t.Before(cutoff) {
-			delete(v.seen, k)
+	end := (exp/width + 1) * width
+	var home *nonceBucket
+	for i := range r.buckets {
+		b := &r.buckets[i]
+		if _, replay := b.keys[key]; replay {
+			return errors.New("wsse: replayed nonce")
+		}
+		if b.end == end {
+			home = b
 		}
 	}
-	if _, replay := v.seen[key]; replay {
-		return errors.New("wsse: replayed nonce")
+	if home == nil {
+		r.buckets = append(r.buckets, nonceBucket{end: end, keys: make(map[[sha256.Size]byte]struct{})})
+		home = &r.buckets[len(r.buckets)-1]
 	}
-	v.seen[key] = now()
+	home.keys[key] = struct{}{}
 	return nil
+}
+
+// forget drops every bucket that ended by now: all its tokens have
+// expired. A clock stepped backwards drops nothing.
+func (r *replaySet) forget(now int64) {
+	live := r.buckets[:0]
+	for _, b := range r.buckets {
+		if b.end > now {
+			live = append(live, b)
+		} else if b.end > r.horizon {
+			r.horizon = b.end
+		}
+	}
+	clear(r.buckets[len(live):])
+	r.buckets = live
+}
+
+// remembered counts the nonces currently held.
+func (v *Verifier) remembered() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	n := 0
+	for _, b := range v.replay.buckets {
+		n += len(b.keys)
+	}
+	return n
 }
 
 func childText(el *xmldom.Element, local string) string {
