@@ -56,11 +56,14 @@ race-gateway:
 
 ## race-controlplane: the cluster control-plane tier under the race
 ## detector — admin service routing state, membership polling, weighted
-## convergence, drain-under-load loss/duplication, membership churn soak.
+## convergence, drain-under-load loss/duplication, membership churn soak,
+## and the lock-free latency histograms GetStats reads (per-op recording
+## racing Stats/AdminStats scrapes, bounded scrape cost).
 race-controlplane:
 	$(GO) test -race -count=2 \
-		-run='TestGatewayAdmin|TestMembership|TestWeightedConvergence|TestDrainUnderLoad|TestDrainReleases|TestDifferentialWeighted|TestAdminBypassesAppStage' \
+		-run='TestGatewayAdmin|TestMembership|TestWeightedConvergence|TestDrainUnderLoad|TestDrainReleases|TestDifferentialWeighted|TestAdminBypassesAppStage|TestStatsCostBounded|TestConcurrentRecordOpAndStats' \
 		./internal/gateway ./internal/core
+	$(GO) test -race -count=2 ./internal/metrics
 	$(GO) test -race -run='TestSoakMembershipChurn' .
 
 ## race-transport: the transport tier under the race detector — server and
@@ -103,7 +106,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDiffSubtree$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultRoundTrip$$' -fuzztime=10s ./internal/fault
 
-## bench-check: snapshot the key benchmarks to BENCH_pr12.json (perf guard).
+## bench-check: snapshot the key benchmarks to BENCH_pr13.json (perf guard).
 bench-check:
 	$(GO) run ./cmd/benchcheck
 
@@ -114,7 +117,7 @@ bench-check:
 ## step-function regressions.
 bench-gate:
 	$(GO) run ./cmd/benchcheck -benchtime 200ms -out /tmp/benchgate.json \
-		-baseline BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json,BENCH_pr12.json -tolerance 35
+		-baseline BENCH_pr8.json,BENCH_pr7.json,BENCH_pr6.json,BENCH_pr5.json,BENCH_pr4.json,BENCH_pr3.json,BENCH_pr2.json,BENCH_pr12.json,BENCH_pr13.json -tolerance 35
 
 ## docs-check: fail on broken relative links in README.md and docs/*.md.
 docs-check:

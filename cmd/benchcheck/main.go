@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchcheck                 # writes BENCH_pr12.json
+//	benchcheck                 # writes BENCH_pr13.json
 //	benchcheck -out FILE.json  # custom path
 //	benchcheck -benchtime 2s   # more stable numbers (default 1s)
 //	benchcheck -baseline BENCH_pr3.json,BENCH_pr2.json -tolerance 10
@@ -80,7 +80,7 @@ func measure(name string, fn func(b *testing.B)) Result {
 
 func main() {
 	testing.Init() // registers test.benchtime before we touch it
-	out := flag.String("out", "BENCH_pr12.json", "output JSON path")
+	out := flag.String("out", "BENCH_pr13.json", "output JSON path")
 	benchtime := flag.Duration("benchtime", time.Second, "minimum run time per benchmark")
 	baseline := flag.String("baseline", "", "comma-separated baseline chain to compare against, first file wins per benchmark (empty disables)")
 	tolerance := flag.Float64("tolerance", 10, "allowed regression percent vs the baseline")
@@ -235,6 +235,42 @@ func main() {
 				}
 			}
 		}))
+	}
+
+	// --- server latency snapshot -------------------------------------
+	// Stats() on a server that has executed 200k operations. The phase
+	// and per-op histograms are fixed-size, so this row tracks the cost
+	// of one snapshot (what every admin GetStats scrape pays), not the
+	// amount of traffic served before it.
+	{
+		env, err := bench.NewEnv(bench.EnvOptions{Network: netsim.Fast()})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
+			os.Exit(1)
+		}
+		const ops, perBatch = 200_000, 250
+		arg := soapenc.F("data", "x")
+		for done := 0; done < ops; done += perBatch {
+			batch := env.Client.NewBatch()
+			for j := 0; j < perBatch; j++ {
+				batch.Add("Echo", "echo", arg)
+			}
+			if err := batch.Send(); err != nil {
+				fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
+				os.Exit(1)
+			}
+		}
+		if n := env.Server.Stats().Operations["Echo.echo"].Count; n != ops {
+			fmt.Fprintf(os.Stderr, "benchcheck: server recorded %d op samples, want %d\n", n, ops)
+			os.Exit(1)
+		}
+		add(measure("core/server-stats-200k-ops", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = env.Server.Stats()
+			}
+		}))
+		env.Close()
 	}
 
 	// --- end-to-end hot paths -----------------------------------------

@@ -66,7 +66,9 @@ func main() {
 		fatal(fmt.Errorf("preflight call failed: %w", err))
 	}
 
-	var rec metrics.Recorder
+	// An open-ended run: the histogram stays a fixed size however long it
+	// goes, with quantiles at most 12.5% above the exact value.
+	var rec metrics.Histogram
 	var completed, failed atomic.Int64
 
 	issue := func() {
@@ -85,7 +87,7 @@ func main() {
 			failed.Add(1)
 			return
 		}
-		rec.Record(time.Since(start))
+		rec.Observe(time.Since(start))
 		completed.Add(int64(*pack))
 	}
 
@@ -100,7 +102,7 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	s := rec.Snapshot()
+	s := rec.Summary()
 	fmt.Printf("\ncompleted %d requests (%d exchanges failed) in %v\n",
 		completed.Load(), failed.Load(), elapsed.Round(time.Millisecond))
 	fmt.Printf("throughput: %.0f req/s\n", float64(completed.Load())/elapsed.Seconds())

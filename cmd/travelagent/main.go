@@ -69,21 +69,21 @@ func runAgainst(addr string, reps int) {
 
 	var it *services.Itinerary
 	for _, optimized := range []bool{false, true} {
-		var rec metrics.Recorder
+		samples := make([]time.Duration, 0, reps)
 		for i := 0; i < reps; i++ {
 			start := time.Now()
 			res, err := services.RunTravelAgent(client, services.DefaultItinerary(), optimized)
 			if err != nil {
 				fatal(err)
 			}
-			rec.Record(time.Since(start))
+			samples = append(samples, time.Since(start))
 			it = res
 		}
 		mode := "without optimization"
 		if optimized {
 			mode = "with optimization   "
 		}
-		fmt.Printf("%s  %s  (%d messages/run)\n", mode, rec.Snapshot(), it.Messages)
+		fmt.Printf("%s  %s  (%d messages/run)\n", mode, metrics.Summarize(samples), it.Messages)
 	}
 	printItinerary(it)
 }

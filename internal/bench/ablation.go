@@ -25,17 +25,17 @@ type AblationResult struct {
 
 // measure runs fn warmup+reps times and returns the mean milliseconds.
 func measure(warmup, reps int, fn func() error) (float64, error) {
-	var rec metrics.Recorder
+	samples := make([]time.Duration, 0, reps)
 	for i := 0; i < warmup+reps; i++ {
 		start := time.Now()
 		if err := fn(); err != nil {
 			return 0, err
 		}
 		if i >= warmup {
-			rec.Record(time.Since(start))
+			samples = append(samples, time.Since(start))
 		}
 	}
-	return metrics.Millis(rec.Snapshot().Mean), nil
+	return metrics.Millis(metrics.Summarize(samples).Mean), nil
 }
 
 // packedRun sends one packed batch of m echo calls with the given payload.

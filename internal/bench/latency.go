@@ -103,17 +103,17 @@ func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
 			Samples: make(map[Approach]metrics.Summary),
 		}
 		for _, approach := range cfg.Approaches {
-			var rec metrics.Recorder
+			samples := make([]time.Duration, 0, cfg.Repetitions)
 			for rep := 0; rep < cfg.Warmup+cfg.Repetitions; rep++ {
 				d, err := runOnce(env, approach, m, payload)
 				if err != nil {
 					return nil, fmt.Errorf("%s: M=%d %s: %w", cfg.Label, m, approach, err)
 				}
 				if rep >= cfg.Warmup {
-					rec.Record(d)
+					samples = append(samples, d)
 				}
 			}
-			s := rec.Snapshot()
+			s := metrics.Summarize(samples)
 			point.Millis[approach] = metrics.Millis(s.Mean)
 			point.Samples[approach] = s
 		}

@@ -102,7 +102,7 @@ func RunMicro(scale, reps int) (*MicroResult, error) {
 		}
 
 		// Serialization.
-		var ser metrics.Recorder
+		ser := make([]time.Duration, 0, reps)
 		var doc []byte
 		for i := 0; i < reps; i++ {
 			env, err := buildEnvelope()
@@ -114,13 +114,13 @@ func RunMicro(scale, reps int) (*MicroResult, error) {
 			if err := env.Encode(&buf); err != nil {
 				return nil, err
 			}
-			ser.Record(time.Since(start))
+			ser = append(ser, time.Since(start))
 			doc = buf.Bytes()
 		}
 		row.Bytes = len(doc)
 
 		// Envelope parse (tokenize + DOM + envelope interpretation).
-		var parse metrics.Recorder
+		parse := make([]time.Duration, 0, reps)
 		var parsed *soap.Envelope
 		for i := 0; i < reps; i++ {
 			start := time.Now()
@@ -128,27 +128,27 @@ func RunMicro(scale, reps int) (*MicroResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("micro %s parse: %w", shape.Name, err)
 			}
-			parse.Record(time.Since(start))
+			parse = append(parse, time.Since(start))
 			parsed = env
 		}
 
 		// Typed-value decode from the DOM.
-		var dec metrics.Recorder
+		dec := make([]time.Duration, 0, reps)
 		for i := 0; i < reps; i++ {
 			start := time.Now()
 			v, err := soapenc.Decode(parsed.Body[0].Child("", "payload"))
 			if err != nil {
 				return nil, fmt.Errorf("micro %s decode: %w", shape.Name, err)
 			}
-			dec.Record(time.Since(start))
+			dec = append(dec, time.Since(start))
 			if i == 0 && !soapenc.Equal(v, shape.Value) {
 				return nil, fmt.Errorf("micro %s: decoded value differs from input", shape.Name)
 			}
 		}
 
-		row.SerializeUs = float64(ser.Snapshot().Mean.Microseconds())
-		row.ParseUs = float64(parse.Snapshot().Mean.Microseconds())
-		row.DecodeUs = float64(dec.Snapshot().Mean.Microseconds())
+		row.SerializeUs = float64(metrics.Summarize(ser).Mean.Microseconds())
+		row.ParseUs = float64(metrics.Summarize(parse).Mean.Microseconds())
+		row.DecodeUs = float64(metrics.Summarize(dec).Mean.Microseconds())
 		result.Rows = append(result.Rows, row)
 	}
 	return result, nil

@@ -58,7 +58,7 @@ func RunTravel(cfg TravelConfig) (*TravelResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var rec metrics.Recorder
+		samples := make([]time.Duration, 0, cfg.Repetitions)
 		for rep := 0; rep < cfg.Warmup+cfg.Repetitions; rep++ {
 			start := time.Now()
 			it, err := services.RunTravelAgent(env.Client, services.DefaultItinerary(), optimized)
@@ -68,7 +68,7 @@ func RunTravel(cfg TravelConfig) (*TravelResult, error) {
 				return nil, fmt.Errorf("travel agent (optimized=%v): %w", optimized, err)
 			}
 			if rep >= cfg.Warmup {
-				rec.Record(elapsed)
+				samples = append(samples, elapsed)
 			}
 			if optimized {
 				result.OptimizedMessages = it.Messages
@@ -77,9 +77,9 @@ func RunTravel(cfg TravelConfig) (*TravelResult, error) {
 			}
 		}
 		if optimized {
-			result.Optimized = rec.Snapshot()
+			result.Optimized = metrics.Summarize(samples)
 		} else {
-			result.Unoptimized = rec.Snapshot()
+			result.Unoptimized = metrics.Summarize(samples)
 		}
 		env.Close()
 	}

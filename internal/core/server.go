@@ -221,16 +221,18 @@ type Server struct {
 
 	// Per-phase protocol-thread timings, for the overhead-breakdown
 	// experiment: SOAP parse, dispatch+execute, response encode.
-	phaseParse    metrics.Recorder
-	phaseDispatch metrics.Recorder
-	phaseEncode   metrics.Recorder
+	phaseParse    metrics.Histogram
+	phaseDispatch metrics.Histogram
+	phaseEncode   metrics.Histogram
 	encodeIO      metrics.StageIO
 
-	// Per-operation execution timings. Keyed by a struct so the hot-path
-	// lookup never builds a "Service.operation" string; Stats renders the
-	// dotted form only when a snapshot is taken.
+	// Per-operation execution timings, copy-on-write: app workers read the
+	// current map without a lock, and only the first execution of an
+	// operation takes opMu to publish a grown copy. Keyed by a struct so
+	// the hot-path lookup never builds a "Service.operation" string; Stats
+	// renders the dotted form only when a snapshot is taken.
 	opMu    sync.Mutex
-	opStats map[opKey]*metrics.Recorder
+	opStats atomic.Pointer[map[opKey]*metrics.Histogram]
 }
 
 // opKey identifies one operation of one service.
@@ -383,7 +385,9 @@ func (s *Server) closePools() {
 	}
 }
 
-// Stats returns a snapshot of server counters.
+// Stats returns a snapshot of server counters. Phase and per-operation
+// latencies are digests of fixed-size histograms, so a snapshot costs the
+// same however much traffic the server has served.
 func (s *Server) Stats() ServerStats {
 	st := ServerStats{
 		Envelopes:      s.envelopes.Load(),
@@ -400,35 +404,51 @@ func (s *Server) Stats() ServerStats {
 	}
 	st.FaultCodes = s.faultCodes.Snapshot()
 	st.Resilience = s.resil.Snapshot()
-	st.ParsePhase = s.phaseParse.Snapshot()
-	st.DispatchPhase = s.phaseDispatch.Snapshot()
-	st.EncodePhase = s.phaseEncode.Snapshot()
+	st.ParsePhase = s.phaseParse.Summary()
+	st.DispatchPhase = s.phaseDispatch.Summary()
+	st.EncodePhase = s.phaseEncode.Summary()
 	st.EncodeIO = s.encodeIO.Snapshot()
-	s.opMu.Lock()
-	if len(s.opStats) > 0 {
-		st.Operations = make(map[string]metrics.Summary, len(s.opStats))
-		for k, r := range s.opStats {
-			st.Operations[k.service+"."+k.op] = r.Snapshot()
+	if ops := s.opStats.Load(); ops != nil {
+		st.Operations = make(map[string]metrics.Summary, len(*ops))
+		for k, h := range *ops {
+			st.Operations[k.service+"."+k.op] = h.Summary()
 		}
 	}
-	s.opMu.Unlock()
 	return st
 }
 
 // recordOp accumulates one operation execution time.
 func (s *Server) recordOp(service, op string, d time.Duration) {
 	key := opKey{service, op}
+	if ops := s.opStats.Load(); ops != nil {
+		if h := (*ops)[key]; h != nil {
+			h.Observe(d)
+			return
+		}
+	}
+	s.opHistogram(key).Observe(d)
+}
+
+// opHistogram returns key's histogram, publishing a copy of the op map
+// that holds a new one if key has none yet.
+func (s *Server) opHistogram(key opKey) *metrics.Histogram {
 	s.opMu.Lock()
-	if s.opStats == nil {
-		s.opStats = make(map[opKey]*metrics.Recorder)
+	defer s.opMu.Unlock()
+	var cur map[opKey]*metrics.Histogram
+	if ops := s.opStats.Load(); ops != nil {
+		if h := (*ops)[key]; h != nil {
+			return h
+		}
+		cur = *ops
 	}
-	r := s.opStats[key]
-	if r == nil {
-		r = &metrics.Recorder{}
-		s.opStats[key] = r
+	next := make(map[opKey]*metrics.Histogram, len(cur)+1)
+	for k, h := range cur {
+		next[k] = h
 	}
-	s.opMu.Unlock()
-	r.Record(d)
+	h := &metrics.Histogram{}
+	next[key] = h
+	s.opStats.Store(&next)
+	return h
 }
 
 // handle is the protocol-stage entry point: it runs on the connection's
@@ -487,7 +507,7 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 		env, err = soap.Decode(bytes.NewReader(req.Body))
 	}
 	parseDur := time.Since(parseStart)
-	s.phaseParse.Record(parseDur)
+	s.phaseParse.Observe(parseDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageProtocol,
 			ID: -1, Op: req.Target, Start: parseStart, Service: parseDur})
@@ -535,7 +555,7 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	}
 	respEnv, fault := dispatcher(env)
 	dispatchDur := time.Since(dispatchStart)
-	s.phaseDispatch.Record(dispatchDur)
+	s.phaseDispatch.Observe(dispatchDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageDispatch,
 			ID: -1, Op: req.Target, Start: dispatchStart, Service: dispatchDur})
@@ -551,7 +571,7 @@ func (s *Server) handle(ctx context.Context, req *httpx.Request) *httpx.Response
 	encodeStart := time.Now()
 	resp := s.envelopeResponse(200, respEnv)
 	encodeDur := time.Since(encodeStart)
-	s.phaseEncode.Record(encodeDur)
+	s.phaseEncode.Observe(encodeDur)
 	s.encodeIO.Observe(len(resp.Body), encodeDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageAssemble,

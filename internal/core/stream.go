@@ -56,7 +56,7 @@ func (s *Server) handleStream(ctx context.Context, req *httpx.Request, defaultSe
 	defer d.Release()
 	err := d.ReadPreamble()
 	parseDur := time.Since(parseStart)
-	s.phaseParse.Record(parseDur)
+	s.phaseParse.Observe(parseDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageProtocol,
 			ID: -1, Op: req.Target, Start: parseStart, Service: parseDur})
@@ -86,7 +86,7 @@ func (s *Server) handleStream(ctx context.Context, req *httpx.Request, defaultSe
 	// Encoding interleaved with the dispatch (the streamed assembler) is
 	// attributed to the encode phase, not the dispatch phase.
 	dispatchDur := time.Since(dispatchStart) - encInDispatch
-	s.phaseDispatch.Record(dispatchDur)
+	s.phaseDispatch.Observe(dispatchDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageDispatch,
 			ID: -1, Op: req.Target, Start: dispatchStart, Service: dispatchDur})
@@ -96,7 +96,7 @@ func (s *Server) handleStream(ctx context.Context, req *httpx.Request, defaultSe
 	}
 	if resp != nil {
 		// Streamed assembly already produced the response bytes.
-		s.phaseEncode.Record(encInDispatch)
+		s.phaseEncode.Observe(encInDispatch)
 		s.encodeIO.Observe(len(resp.Body), encInDispatch)
 		if tr.Enabled() {
 			tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageAssemble,
@@ -109,7 +109,7 @@ func (s *Server) handleStream(ctx context.Context, req *httpx.Request, defaultSe
 	encodeStart := time.Now()
 	resp = s.envelopeResponse(200, respEnv)
 	encodeDur := time.Since(encodeStart)
-	s.phaseEncode.Record(encodeDur)
+	s.phaseEncode.Observe(encodeDur)
 	s.encodeIO.Observe(len(resp.Body), encodeDur)
 	if tr.Enabled() {
 		tr.Record(trace.Span{Trace: trace.FromContext(ctx), Stage: trace.StageAssemble,

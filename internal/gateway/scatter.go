@@ -221,9 +221,11 @@ func (g *Gateway) scatterGather(ctx context.Context, req *httpx.Request, sr *cor
 
 // degradeFault is the per-item fault for a slot the gateway stopped
 // waiting on — byte-identical to the direct server abandoning the same
-// entry (abandonResult).
+// entry (abandonResult). ctx has expired: a cancelled caller gets the
+// cancel text, a passed deadline the timeout text, even before ctx's own
+// timer has set ctx.Err().
 func degradeFault(ctx context.Context, e *core.ScatterEntry) *soap.Fault {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+	if !errors.Is(ctx.Err(), context.Canceled) {
 		return fault.ToSOAP(fault.Timeoutf(
 			"deadline expired before %s.%s finished", e.Service, e.Op).
 			With(fault.KeyOp, e.Service+"."+e.Op))
@@ -332,12 +334,24 @@ func (g *Gateway) sendShard(ctx context.Context, b *backend, sr *core.ScatterReq
 // upstream-unavailable (Server.Busy on the wire) — the work never produced
 // a response, and re-sending the entry is the client's call.
 func shardFault(ctx context.Context, e *core.ScatterEntry, err error) *soap.Fault {
-	if ctx.Err() != nil {
+	if expired(ctx) {
 		return degradeFault(ctx, e)
 	}
 	return fault.ToSOAP(fault.Upstreamf(
 		"no backend available for %s.%s: %v", e.Service, e.Op, err).
 		With(fault.KeyOp, e.Service+"."+e.Op))
+}
+
+// expired reports whether ctx has ended or its deadline has passed. A
+// backend read deadline taken from ctx can fire before ctx's own timer
+// sets ctx.Err(), so the clock decides whether the caller's budget ran
+// out.
+func expired(ctx context.Context) bool {
+	if ctx.Err() != nil {
+		return true
+	}
+	d, ok := ctx.Deadline()
+	return ok && !time.Now().Before(d)
 }
 
 // sleepCtx waits out one backoff, honoring ctx.

@@ -1,9 +1,12 @@
 package metrics
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -144,5 +147,69 @@ func TestGaugePeakTracking(t *testing.T) {
 	}
 	if g.Peak() != 12 {
 		t.Errorf("Peak after Add = %d, want 12", g.Peak())
+	}
+}
+
+// The log-linear digest against the exact one: on seeded log-uniform
+// samples from 100ns to 100ms, every quantile is within 12.5% of
+// Summarize's nearest-rank value and never below it, and the aggregates
+// are exact.
+func TestHistogramSummaryMatchesSummarize(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	lo, hi := math.Log(100), math.Log(float64(100*time.Millisecond))
+	for _, n := range []int{1, 2, 3, 7, 10, 99, 100, 1000, 10_000, 100_000} {
+		var h Histogram
+		samples := make([]time.Duration, n)
+		for i := range samples {
+			samples[i] = time.Duration(math.Exp(lo + rng.Float64()*(hi-lo)))
+			h.Observe(samples[i])
+		}
+		got, want := h.Summary(), Summarize(samples)
+		if got.Count != want.Count || got.Total != want.Total || got.Min != want.Min ||
+			got.Max != want.Max || got.Mean != want.Mean {
+			t.Errorf("n=%d: aggregates %+v, want %+v", n, got, want)
+		}
+		for _, q := range []struct {
+			name      string
+			got, want time.Duration
+		}{{"P50", got.P50, want.P50}, {"P90", got.P90, want.P90}, {"P99", got.P99, want.P99}} {
+			if q.got < q.want || q.got-q.want > q.want/8 {
+				t.Errorf("n=%d: %s = %v, exact %v (want within +12.5%%)", n, q.name, q.got, q.want)
+			}
+		}
+	}
+}
+
+// Every bucket is contiguous with the next, maps its own bounds back to
+// itself, and is no wider than an eighth of its lower bound (the source of
+// the 12.5% quantile bound). The whole histogram fits in 4 KiB.
+func TestHistogramBucketLayout(t *testing.T) {
+	lower := time.Duration(0)
+	for i := 0; i < numBuckets; i++ {
+		upper := bucketUpper(i)
+		if bucketOf(uint64(lower)) != i || bucketOf(uint64(upper)) != i {
+			t.Fatalf("bucket %d = [%d, %d] does not map back to itself", i, lower, upper)
+		}
+		if lower >= subBuckets && upper-lower >= lower/subBuckets {
+			t.Fatalf("bucket %d = [%d, %d] wider than 1/%d of its lower bound", i, lower, upper, subBuckets)
+		}
+		lower = upper + 1
+	}
+	if top := bucketUpper(numBuckets - 1); top != math.MaxInt64 {
+		t.Errorf("top bucket ends at %d, want math.MaxInt64", top)
+	}
+	if size := unsafe.Sizeof(Histogram{}); size > 4096 {
+		t.Errorf("Histogram is %d bytes, want <= 4096", size)
+	}
+}
+
+// Recording and digesting never allocate.
+func TestHistogramNoAllocs(t *testing.T) {
+	var h Histogram
+	if n := testing.AllocsPerRun(100, func() { h.Observe(time.Microsecond) }); n != 0 {
+		t.Errorf("Observe allocates %.0f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = h.Summary() }); n != 0 {
+		t.Errorf("Summary allocates %.0f times", n)
 	}
 }

@@ -1,15 +1,17 @@
-// Package metrics provides the latency bookkeeping the experiment harness
-// uses: duration recorders with summary statistics, matching the
+// Package metrics provides the latency and event bookkeeping of the SPI
+// stack. Histogram is the one latency primitive for anything that records
+// without end (server phases and operations, trace stages, load tools): a
+// fixed-size, lock-free bucket array whose digest costs the same whatever
+// it has seen. Summarize digests a finite sample set exactly, matching the
 // measurements the paper reports (run time in milliseconds per
-// configuration, averaged over repeated runs), plus the resilience
-// counters (retries, timeouts, cancellations, shed requests) the
-// client/server failure paths feed.
+// configuration, averaged over repeated runs). Counter, Gauge, StageIO and
+// Resilience are the event counters the client/server failure and encode
+// paths feed.
 package metrics
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -108,36 +110,8 @@ func (s StageIOSummary) String() string {
 	return fmt.Sprintf("bytes=%d ns=%d", s.Bytes, s.Ns)
 }
 
-// Recorder accumulates duration samples. Safe for concurrent use.
-type Recorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-// Record adds one sample.
-func (r *Recorder) Record(d time.Duration) {
-	r.mu.Lock()
-	r.samples = append(r.samples, d)
-	r.mu.Unlock()
-}
-
-// Time runs fn and records its wall-clock duration.
-func (r *Recorder) Time(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	r.Record(d)
-	return d
-}
-
-// Reset discards all samples.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.samples = r.samples[:0]
-	r.mu.Unlock()
-}
-
-// Summary is a statistical digest of the recorded samples.
+// Summary is a statistical digest of a set of duration samples, as
+// computed exactly by Summarize or estimated by Histogram.Summary.
 type Summary struct {
 	Count int
 	Total time.Duration
@@ -147,14 +121,6 @@ type Summary struct {
 	P50   time.Duration
 	P90   time.Duration
 	P99   time.Duration
-}
-
-// Snapshot computes the summary of the samples recorded so far.
-func (r *Recorder) Snapshot() Summary {
-	r.mu.Lock()
-	samples := append([]time.Duration(nil), r.samples...)
-	r.mu.Unlock()
-	return Summarize(samples)
 }
 
 // Summarize computes a Summary over a sample set.

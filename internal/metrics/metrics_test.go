@@ -9,22 +9,23 @@ import (
 )
 
 func TestEmptySummary(t *testing.T) {
-	var r Recorder
-	s := r.Snapshot()
-	if s.Count != 0 || s.Mean != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-	if s.String() != "no samples" {
-		t.Errorf("String = %q", s.String())
+	var h Histogram
+	for name, s := range map[string]Summary{"Summarize": Summarize(nil), "Histogram": h.Summary()} {
+		if s != (Summary{}) {
+			t.Errorf("%s: empty summary = %+v", name, s)
+		}
+		if s.String() != "no samples" {
+			t.Errorf("%s: String = %q", name, s.String())
+		}
 	}
 }
 
 func TestBasicStats(t *testing.T) {
-	var r Recorder
+	var samples []time.Duration
 	for _, ms := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
-		r.Record(time.Duration(ms) * time.Millisecond)
+		samples = append(samples, time.Duration(ms)*time.Millisecond)
 	}
-	s := r.Snapshot()
+	s := Summarize(samples)
 	if s.Count != 10 {
 		t.Errorf("count = %d", s.Count)
 	}
@@ -42,40 +43,33 @@ func TestBasicStats(t *testing.T) {
 	}
 }
 
-func TestTime(t *testing.T) {
-	var r Recorder
-	d := r.Time(func() { time.Sleep(5 * time.Millisecond) })
-	if d < 5*time.Millisecond {
-		t.Errorf("timed %v", d)
-	}
-	if r.Snapshot().Count != 1 {
-		t.Error("sample not recorded")
-	}
-}
-
-func TestReset(t *testing.T) {
-	var r Recorder
-	r.Record(time.Second)
-	r.Reset()
-	if r.Snapshot().Count != 0 {
-		t.Error("reset did not clear")
-	}
-}
-
+// Recording goroutines race a reader taking digests: every digest must be
+// internally ordered and the final one must see every sample.
 func TestConcurrentRecording(t *testing.T) {
-	var r Recorder
+	var h Histogram
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				r.Record(time.Millisecond)
+				h.Observe(time.Millisecond)
 			}
 		}()
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			if s := h.Summary(); s.Count > 0 && !(s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max) {
+				t.Errorf("unordered digest under concurrent recording: %+v", s)
+				return
+			}
+		}
+	}()
 	wg.Wait()
-	if got := r.Snapshot().Count; got != 1000 {
+	<-done
+	if got := h.Summary().Count; got != 1000 {
 		t.Errorf("count = %d", got)
 	}
 }
